@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify verify-scale verify-codec verify-trace verify-transport verify-consensus bench clean
+.PHONY: build test race vet verify verify-scale verify-codec verify-trace verify-transport verify-consensus verify-perfbench bench clean
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,7 @@ race:
 	$(GO) test -race ./...
 
 # verify is the tier-1 gate: everything must pass before a commit.
-verify: vet build race verify-codec verify-trace verify-transport verify-consensus
+verify: vet build race verify-codec verify-trace verify-transport verify-consensus verify-perfbench
 
 # verify-scale gates the million-device layer: shard-count and rerun
 # invariance of the sharded event engine, lazy≡eager state equality, cohort
@@ -73,6 +73,14 @@ verify-consensus:
 	$(GO) test -race -run 'ABA|CommitteeForRound|RotatingCommittee|NamesRoundTrip|ConsensusLatency' \
 		./internal/consensus ./internal/chaostest ./internal/node ./internal/experiments
 	$(GO) test -run ClusterSmokeABA ./cmd/abdhfl-node
+
+# verify-perfbench vets and tests the benchmark module. perfbench/ is its own
+# Go module, so the root build and test never compile it, yet it drives
+# core, consensus, telemetry, node and transport directly. The environment
+# matches perfbench/run.sh: module proxy off, no cgo.
+PERFBENCH_ENV = GOPROXY=off GOFLAGS= CGO_ENABLED=0
+verify-perfbench:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
 
 # bench regenerates the tier-1 benchmark numbers (see BENCH_*.json).
 bench:

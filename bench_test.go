@@ -351,8 +351,8 @@ func BenchmarkAblationClusterSize(b *testing.B) {
 }
 
 // BenchmarkTopologiesUnderAttack compares one hierarchical run against the
-// star and gossip baselines on the same poisoned workload — the paradigm
-// comparison of the paper's introduction.
+// star baseline on the same poisoned workload — the paradigm comparison of
+// the paper's introduction.
 func BenchmarkTopologiesUnderAttack(b *testing.B) {
 	s := benchScenario(func(s *Scenario) {
 		s.Attack = AttackType1
@@ -373,26 +373,6 @@ func BenchmarkTopologiesUnderAttack(b *testing.B) {
 	b.Run("star-vanilla", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := m.RunVanilla(uint64(i + 1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gossip", func(b *testing.B) {
-		agg, err := aggregate.ByName(s.Aggregator)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := core.RunGossip(core.GossipConfig{
-				Rounds:     2,
-				Local:      m.Local,
-				Aggregator: agg,
-				ClientData: m.Shards,
-				TestData:   m.TestData,
-				Byzantine:  m.Byzantine,
-				Seed:       uint64(i + 1),
-				EvalEvery:  2,
-			}); err != nil {
 				b.Fatal(err)
 			}
 		}

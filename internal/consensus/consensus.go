@@ -221,6 +221,79 @@ func (v Voting) Agree(ctx *Context, proposals []tensor.Vector) (tensor.Vector, S
 	return out, st, nil
 }
 
+// votes computes member's up/down votes over the proposals (true = upvote),
+// applying the adversarial inversion for Byzantine members. It is the ballot
+// kernel Voting, ABA and the node engine's ballot exchange share.
+func (v Voting) votes(ctx *Context, member int, proposals []tensor.Vector) []bool {
+	margin := v.Margin
+	if margin == 0 {
+		margin = 0.1
+	}
+	scores := make([]float64, len(proposals))
+	best := 0.0
+	for i := range proposals {
+		scores[i] = ctx.Validator(member, proposals[i])
+		if scores[i] > best {
+			best = scores[i]
+		}
+	}
+	out := make([]bool, len(proposals))
+	for i := range proposals {
+		up := scores[i] >= best-margin
+		if ctx.isByz(member) {
+			up = !up
+		}
+		out[i] = up
+	}
+	return out
+}
+
+// Ballot computes one member's validation-voting up/down ballot over the
+// proposals — the kernel Voting and ABA members both apply. Exported so a
+// distributed engine can compute a remote member's ballot on that member's
+// own process and ship only the bits; the bits are identical to what the
+// in-process protocols would compute (same validator, same margin rule).
+func Ballot(ctx *Context, member int, margin float64, proposals []tensor.Vector) []bool {
+	return Voting{Margin: margin}.votes(ctx, member, proposals)
+}
+
+// decide tallies the vote counts and returns the kept proposal indices and
+// the excluded ones, mirroring Voting.Agree's rule.
+func (v Voting) decide(counts []int, members int) (kept, excluded []int) {
+	keep := v.KeepFraction
+	if keep == 0 {
+		keep = 0.5
+	}
+	threshold := int(keep * float64(members))
+	if threshold < 1 {
+		threshold = 1
+	}
+	for i, c := range counts {
+		if c >= threshold {
+			kept = append(kept, i)
+		} else {
+			excluded = append(excluded, i)
+		}
+	}
+	if len(kept) == 0 {
+		best := 0
+		for i := range counts {
+			if counts[i] > counts[best] {
+				best = i
+			}
+		}
+		kept = []int{best}
+		excluded = excluded[:0]
+		for i := range counts {
+			if i != best {
+				excluded = append(excluded, i)
+			}
+		}
+	}
+	sort.Ints(excluded)
+	return kept, excluded
+}
+
 // Committee is a committee-based consensus (Li et al. 2020 style): a random
 // committee of Size members scores every proposal; the proposals whose total
 // committee score ranks in the top KeepFraction are averaged.

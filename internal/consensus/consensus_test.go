@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"abdhfl/internal/rng"
-	"abdhfl/internal/simnet"
 	"abdhfl/internal/tensor"
 )
 
@@ -391,76 +390,6 @@ func TestPBFTRequiresValidator(t *testing.T) {
 	proposals, _ := goodBadProposals(3, 0, 3)
 	ctx := &Context{Members: 3, Rand: rng.New(45)}
 	if _, _, err := (PBFT{}).Agree(ctx, proposals); err == nil {
-		t.Fatal("nil validator accepted")
-	}
-}
-
-func TestDistributedVotingMatchesCentralized(t *testing.T) {
-	proposals, good := goodBadProposals(3, 1, 6)
-	mk := func() *Context {
-		return &Context{Members: 4, Validator: accuracyLike(good), Rand: rng.New(81)}
-	}
-	central, cst, err := Voting{}.Agree(mk(), proposals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := simnet.New(simnet.Uniform{Min: 1, Max: 9}, rng.New(82))
-	dist, dst, err := RunDistributedVoting(sim, 100, mk(), proposals, Voting{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.Distance(central, dist); d > 1e-12 {
-		t.Fatalf("distributed decision differs from centralized by %v", d)
-	}
-	if len(dst.Excluded) != len(cst.Excluded) {
-		t.Fatalf("exclusions differ: %v vs %v", dst.Excluded, cst.Excluded)
-	}
-	// 4 members broadcast proposals and votes: 2 * 4*3 = 24 messages.
-	if dst.Messages != 24 {
-		t.Fatalf("messages = %d, want 24", dst.Messages)
-	}
-}
-
-func TestDistributedVotingAgreementUnderLatencyJitter(t *testing.T) {
-	// Heavy-tailed latency reorders deliveries arbitrarily; all honest
-	// members must still decide identically (checked inside Run).
-	proposals, good := goodBadProposals(4, 2, 5)
-	for seed := uint64(1); seed <= 5; seed++ {
-		sim := simnet.New(simnet.LogNormal{Base: 5, Sigma: 1.2}, rng.New(seed))
-		ctx := &Context{Members: 6, Validator: accuracyLike(good), Rand: rng.New(seed)}
-		out, _, err := RunDistributedVoting(sim, 0, ctx, proposals, Voting{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if d := tensor.Distance(out, good); d > 1 {
-			t.Fatalf("seed %d: decision off by %v", seed, d)
-		}
-	}
-}
-
-func TestDistributedVotingWithByzantineVoter(t *testing.T) {
-	proposals, good := goodBadProposals(3, 1, 5)
-	sim := simnet.New(simnet.Fixed(2), rng.New(83))
-	ctx := &Context{
-		Members:   4,
-		Byzantine: map[int]bool{2: true},
-		Validator: accuracyLike(good),
-		Rand:      rng.New(83),
-	}
-	out, st, err := RunDistributedVoting(sim, 0, ctx, proposals, Voting{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.Distance(out, good); d > 1 {
-		t.Fatalf("decision off by %v (excluded %v)", d, st.Excluded)
-	}
-}
-
-func TestDistributedVotingRequiresValidator(t *testing.T) {
-	proposals, _ := goodBadProposals(3, 0, 3)
-	sim := simnet.New(simnet.Fixed(1), rng.New(1))
-	ctx := &Context{Members: 3, Rand: rng.New(1)}
-	if _, _, err := RunDistributedVoting(sim, 0, ctx, proposals, Voting{}); err == nil {
 		t.Fatal("nil validator accepted")
 	}
 }

@@ -230,7 +230,9 @@ func (c *Config) hidden() []int {
 	return c.Hidden
 }
 
-func (c *Config) modelSizes() []int {
+// ModelSizes returns the layer sizes of the run's model (input, hidden...,
+// output) — what nn.New/NewShaped take.
+func (c *Config) ModelSizes() []int {
 	sizes := []int{dataset.Dim}
 	sizes = append(sizes, c.hidden()...)
 	return append(sizes, dataset.NumClasses)

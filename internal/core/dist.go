@@ -1,13 +1,14 @@
-// Distributed-engine surface: the exported wrappers internal/node uses to
-// run RunHFL's aggregation path verbatim from separate processes. The round
-// engine's determinism discipline — every random draw comes from a labeled
-// stream derived (not split) from the run seed — means any process can
-// reproduce any stream locally; what the node engine additionally needs is
-// the private aggregation code (quorum subsampling, cluster/top aggregation
-// with filter auditing) applied to the vectors it collected off the wire.
-// These wrappers expose exactly that, so a distributed run and RunHFL
-// produce byte-identical models, σ-accounting, and filter audits for the
-// supported configuration subset (no omniscient ModelAttack, no
+// Distributed-engine surface: what internal/node uses, beside the engine's
+// own exported helpers (ApplyQuorum, ChildClusterIndex, DisseminationCost),
+// to run RunHFL's aggregation path verbatim from separate processes. The
+// round engine's determinism discipline — every random draw comes from a
+// labeled stream derived (not split) from the run seed — means any process
+// can reproduce any stream locally; what the node engine additionally needs
+// is the private aggregation code (quorum subsampling, cluster/top
+// aggregation with filter auditing) applied to the vectors it collected off
+// the wire. This surface exposes exactly that, so a distributed run and
+// RunHFL produce byte-identical models, σ-accounting, and filter audits for
+// the supported configuration subset (no omniscient ModelAttack, no
 // RotateLeaders — both need a global view no single process has).
 package core
 
@@ -21,41 +22,12 @@ import (
 	"abdhfl/internal/topology"
 )
 
-// ModelSizes returns the layer sizes of the run's model (input, hidden...,
-// output) — what nn.New/NewShaped take.
-func (c *Config) ModelSizes() []int { return c.modelSizes() }
-
 // DrawRoundSkip reproduces the round's non-training set (churn plus cohort
 // sampling) exactly as RunHFL draws it. Every process computes the same
 // set from the shared config and round stream, which is what lets an
 // aggregator know which contributors to expect without any signaling.
 func DrawRoundSkip(cfg Config, roundRNG *rng.RNG) map[int]bool {
 	return drawSkip(cfg, roundRNG, cfg.Tree, drawOffline(cfg, roundRNG, cfg.Tree.NumDevices()))
-}
-
-// ApplyQuorum exposes the engine's deterministic quorum subsampling
-// (Algorithm 4's φ condition) for cluster (lvl, ci).
-func ApplyQuorum(cfg Config, roundRNG *rng.RNG, lvl, ci int, vecs []tensor.Vector, ids []int) ([]tensor.Vector, []int) {
-	return applyQuorum(cfg, roundRNG, lvl, ci, vecs, ids)
-}
-
-// LevelRuleFor returns the aggregation rule used at intermediate level lvl
-// (level 0 is cfg.Global).
-func LevelRuleFor(cfg Config, lvl int) LevelRule {
-	if lvl == 0 {
-		return cfg.Global
-	}
-	return ruleForLevel(cfg, lvl)
-}
-
-// DisseminationCost exposes Algorithm 5's model-transfer count for the
-// root's σ-accounting.
-func DisseminationCost(tree *topology.Tree) CommStats { return disseminationCost(tree) }
-
-// ChildClusterIndex maps member mi of upper-level cluster c to the index
-// of the child cluster it leads (the ordering byLevelInput relies on).
-func ChildClusterIndex(tree *topology.Tree, c *topology.Cluster, mi int) int {
-	return childIndex(tree, c, mi)
 }
 
 // WireVerdict is one aggregation step's outcome in exportable form: the
@@ -80,7 +52,7 @@ type WireAggregator struct {
 	cfg     *Config
 	pool    *nn.EvalPool
 	scratch *aggregate.Scratch
-	fe      *filterEmitter
+	fe      *telemetry.FilterEmitter
 	verdict WireVerdict
 }
 
@@ -94,13 +66,13 @@ func NewWireAggregator(cfg *Config) *WireAggregator {
 	}
 	w := &WireAggregator{
 		cfg:     cfg,
-		pool:    nn.NewEvalPool(cfg.modelSizes()...),
+		pool:    nn.NewEvalPool(cfg.ModelSizes()...),
 		scratch: aggregate.NewScratch(workers),
 	}
 	// The emitter must exist even without telemetry or a callback: the
 	// verdict capture below is itself an OnFilter consumer.
-	w.fe = newFilterEmitter(newInstruments(cfg.Telemetry, "node", len(cfg.Tree.Clusters)), w.capture, "node")
-	w.fe.attach(w.scratch)
+	w.fe = newFilterEmitter(newInstruments(cfg.Telemetry, "node", len(cfg.Tree.Clusters)), w.capture, false, "node")
+	w.fe.Attach(w.scratch)
 	return w
 }
 
@@ -142,20 +114,16 @@ func (w *WireAggregator) AggregateCluster(roundRNG *rng.RNG, c *topology.Cluster
 	return agg, w.takeVerdict(comm, 0), nil
 }
 
-// AggregateTop forms the global model exactly as RunHFL does. partials is
-// indexed by level-1 cluster (nil for clusters that contributed nothing);
-// dst is the BRA destination buffer.
-func (w *WireAggregator) AggregateTop(roundRNG *rng.RNG, partials []tensor.Vector, dst tensor.Vector, round int) (tensor.Vector, WireVerdict, error) {
-	return w.AggregateTopBallots(roundRNG, partials, dst, round, nil)
-}
-
-// AggregateTopBallots is AggregateTop with wire-collected member ballots
-// injected into the top consensus (the ABA ballot exchange): ballots.Rows
-// is indexed by consensus member — the contributing level-1 leaders in
-// cluster order — with nil rows for leaders whose ballot never arrived.
-// With every row present the result is bit-identical to AggregateTop,
-// because each remote ballot is the same bits the root would compute
-// locally (ShardBallot); missing rows consume the protocol's fault budget.
+// AggregateTopBallots forms the global model exactly as RunHFL does.
+// partials is indexed by level-1 cluster (nil for clusters that contributed
+// nothing); dst is the BRA destination buffer. ballots, when non-nil,
+// injects wire-collected member ballots into the top consensus (the ABA
+// ballot exchange): ballots.Rows is indexed by consensus member — the
+// contributing level-1 leaders in cluster order — with nil rows for leaders
+// whose ballot never arrived. With every row present the result is
+// bit-identical to a nil ballots run, because each remote ballot is the same
+// bits the root would compute locally (ShardBallot); missing rows consume
+// the protocol's fault budget.
 func (w *WireAggregator) AggregateTopBallots(roundRNG *rng.RNG, partials []tensor.Vector, dst tensor.Vector, round int, ballots *consensus.BallotSet) (tensor.Vector, WireVerdict, error) {
 	agg, comm, excluded, err := aggregateTop(*w.cfg, w.cfg.Tree, roundRNG, partials, w.pool, dst, w.scratch, w.fe, round, ballots)
 	if err != nil {

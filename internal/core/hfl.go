@@ -13,6 +13,7 @@ import (
 	"abdhfl/internal/consensus"
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
+	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
 )
@@ -29,7 +30,7 @@ func RunHFL(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-	sizes := cfg.modelSizes()
+	sizes := cfg.ModelSizes()
 	global := nn.New(root.Derive("init"), sizes...)
 	globalParams := global.Params()
 
@@ -61,19 +62,11 @@ func RunHFL(cfg Config) (*Result, error) {
 	// sequential, so one Scratch serves every hop of every round.
 	codecScratch := codec.NewScratch()
 	ins := newInstruments(cfg.Telemetry, "hfl", len(tree.Clusters))
-	ins.codecInfo(cfg.Codec, len(globalParams))
-	fe := newFilterEmitter(ins, cfg.OnFilter, "hfl")
-	fe.attach(aggScratch)
+	ins.common().CodecInfo(cfg.Codec, len(globalParams))
 	dim := len(globalParams)
 	ct := newCoreTracer(cfg.Trace, tree.Bottom(), wireBytesOf(cfg.Codec, dim))
-	if ct != nil && fe == nil {
-		// Spans carry kept/filtered counts, which come from the filter
-		// audit; run an audit-only emitter (no telemetry, no callback) so
-		// the rules record verdicts. Auditing observes, never changes, what
-		// a rule computes.
-		fe = &filterEmitter{engine: "hfl"}
-		fe.attach(aggScratch)
-	}
+	fe := newFilterEmitter(ins, cfg.OnFilter, ct != nil, "hfl")
+	fe.Attach(aggScratch)
 	partialBufs := make([][]tensor.Vector, len(tree.Clusters))
 	levelOut := make([][]tensor.Vector, len(tree.Clusters))
 	for lvl := range tree.Clusters {
@@ -167,7 +160,7 @@ func RunHFL(cfg Config) (*Result, error) {
 				} else {
 					// Members of an upper cluster are leaders of child
 					// clusters; the child cluster order matches member order.
-					v = partials[childIndex(tree, c, mi)]
+					v = partials[ChildClusterIndex(tree, c, mi)]
 				}
 				if v != nil {
 					vecs = append(vecs, v)
@@ -189,7 +182,7 @@ func RunHFL(cfg Config) (*Result, error) {
 					// aggregates fewer inputs.
 					continue
 				}
-				vecs, ids = applyQuorum(cfg, roundRNG, lvl, ci, vecs, ids)
+				vecs, ids = ApplyQuorum(cfg, roundRNG, lvl, ci, vecs, ids)
 				if partialBufs[lvl][ci] == nil {
 					partialBufs[lvl][ci] = tensor.NewVector(dim)
 				}
@@ -202,7 +195,7 @@ func RunHFL(cfg Config) (*Result, error) {
 					if lvl > 1 {
 						parentCi = tree.Parent(lvl, ci).Index
 					}
-					kept, filtered := fe.verdictCounts()
+					kept, filtered := fe.VerdictCounts()
 					ct.aggregate(round, lvl, ci, parentCi, ruleForLevel(cfg, lvl).Name(), kept, filtered)
 				}
 				res.Comm.Add(comm)
@@ -231,7 +224,7 @@ func RunHFL(cfg Config) (*Result, error) {
 		res.Comm.Add(comm)
 		res.ExcludedByConsensus += excluded
 		if ct != nil {
-			kept, filtered := fe.verdictCounts()
+			kept, filtered := fe.VerdictCounts()
 			ct.global(round, cfg.Global.Name(), kept, filtered)
 		}
 		// Dissemination downlink: the new global crosses one codec hop (all
@@ -249,7 +242,7 @@ func RunHFL(cfg Config) (*Result, error) {
 
 		// --- Dissemination (Algorithm 5): the global model travels down the
 		// tree, one broadcast per cluster.
-		res.Comm.Add(disseminationCost(tree))
+		res.Comm.Add(DisseminationCost(tree))
 		if ins.enabled() {
 			ins.observePhase(phaseAggregate, time.Since(tPhase))
 			tPhase = time.Now()
@@ -295,9 +288,10 @@ func RunHFL(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// childIndex maps member mi of upper-level cluster c to the index of the
-// child cluster it leads at level c.Level+1.
-func childIndex(tree *topology.Tree, c *topology.Cluster, mi int) int {
+// ChildClusterIndex maps member mi of upper-level cluster c to the index of
+// the child cluster it leads at level c.Level+1 (the ordering byLevelInput
+// relies on).
+func ChildClusterIndex(tree *topology.Tree, c *topology.Cluster, mi int) int {
 	children := tree.ChildClusters(c.Level, c.Index)
 	if mi >= len(children) {
 		panic("core: member without child cluster")
@@ -503,10 +497,10 @@ func applyModelAttack(cfg Config, updates []tensor.Vector, start tensor.Vector, 
 	}
 }
 
-// applyQuorum deterministically subsamples a cluster's available models down
-// to ceil(φ*size), simulating a leader that stops waiting once the quorum is
-// reached (Algorithm 4's φ_ℓ × C_ℓ,i condition).
-func applyQuorum(cfg Config, roundRNG *rng.RNG, lvl, ci int, vecs []tensor.Vector, ids []int) ([]tensor.Vector, []int) {
+// ApplyQuorum deterministically subsamples cluster (lvl, ci)'s available
+// models down to ceil(φ*size), simulating a leader that stops waiting once
+// the quorum is reached (Algorithm 4's φ_ℓ × C_ℓ,i condition).
+func ApplyQuorum(cfg Config, roundRNG *rng.RNG, lvl, ci int, vecs []tensor.Vector, ids []int) ([]tensor.Vector, []int) {
 	if cfg.Quorum == 0 || cfg.Quorum >= 1 || len(vecs) <= 1 {
 		return vecs, ids
 	}
@@ -541,7 +535,7 @@ func ruleForLevel(cfg Config, lvl int) LevelRule {
 // the leader and the leader broadcasts the result back (BRA), or all members
 // exchange proposals (CBA). BRA writes into the caller-owned dst buffer using
 // scratch; CBA protocols return their own fresh vector.
-func aggregateCluster(cfg Config, roundRNG *rng.RNG, c *topology.Cluster, vecs []tensor.Vector, ids []int, pool *nn.EvalPool, dst tensor.Vector, scratch *aggregate.Scratch, fe *filterEmitter, round int) (tensor.Vector, CommStats, error) {
+func aggregateCluster(cfg Config, roundRNG *rng.RNG, c *topology.Cluster, vecs []tensor.Vector, ids []int, pool *nn.EvalPool, dst tensor.Vector, scratch *aggregate.Scratch, fe *telemetry.FilterEmitter, round int) (tensor.Vector, CommStats, error) {
 	var comm CommStats
 	n := len(vecs)
 	if n == 0 {
@@ -552,7 +546,7 @@ func aggregateCluster(cfg Config, roundRNG *rng.RNG, c *topology.Cluster, vecs [
 		if err := rule.BRA.AggregateInto(dst, scratch, vecs); err != nil {
 			return nil, comm, err
 		}
-		fe.emitAudit(c.Level, c.Index, round, ids)
+		fe.EmitAudit(c.Level, c.Index, round, ids)
 		// Uploads to leader (leader's own model is local) + result broadcast
 		// to members for storage.
 		comm.ModelTransfers += (n - 1) + (c.Size() - 1)
@@ -570,7 +564,7 @@ func aggregateCluster(cfg Config, roundRNG *rng.RNG, c *topology.Cluster, vecs [
 	if err != nil {
 		return nil, comm, err
 	}
-	fe.emitConsensus(c.Level, c.Index, round, ids, rule.Name(), st)
+	fe.EmitConsensus(c.Level, c.Index, round, ids, rule.Name(), st.Excluded, st.Votes)
 	comm.ModelTransfers += st.ModelTransfers
 	comm.ScalarMessages += st.Messages - st.ModelTransfers
 	return agg, comm, nil
@@ -583,7 +577,7 @@ func aggregateCluster(cfg Config, roundRNG *rng.RNG, c *topology.Cluster, vecs [
 // member ballots into the consensus context (the node engine's ABA
 // exchange); the single-process engine always passes nil and computes them
 // locally.
-func aggregateTop(cfg Config, tree *topology.Tree, roundRNG *rng.RNG, partials []tensor.Vector, pool *nn.EvalPool, dst tensor.Vector, scratch *aggregate.Scratch, fe *filterEmitter, round int, ballots *consensus.BallotSet) (tensor.Vector, CommStats, int, error) {
+func aggregateTop(cfg Config, tree *topology.Tree, roundRNG *rng.RNG, partials []tensor.Vector, pool *nn.EvalPool, dst tensor.Vector, scratch *aggregate.Scratch, fe *telemetry.FilterEmitter, round int, ballots *consensus.BallotSet) (tensor.Vector, CommStats, int, error) {
 	var comm CommStats
 	vecs := make([]tensor.Vector, 0, len(partials))
 	var ids []int
@@ -608,7 +602,7 @@ func aggregateTop(cfg Config, tree *topology.Tree, roundRNG *rng.RNG, partials [
 		if err := cfg.Global.BRA.AggregateInto(dst, scratch, vecs); err != nil {
 			return nil, comm, 0, err
 		}
-		fe.emitAudit(0, 0, round, ids)
+		fe.EmitAudit(0, 0, round, ids)
 		n := len(vecs)
 		comm.ModelTransfers += (n - 1) + (n - 1) // uploads to A_{0,0} + broadcast
 		return dst, comm, 0, nil
@@ -627,7 +621,7 @@ func aggregateTop(cfg Config, tree *topology.Tree, roundRNG *rng.RNG, partials [
 	if err != nil {
 		return nil, comm, 0, err
 	}
-	fe.emitConsensus(0, 0, round, ids, cfg.Global.Name(), st)
+	fe.EmitConsensus(0, 0, round, ids, cfg.Global.Name(), st.Excluded, st.Votes)
 	comm.ModelTransfers += st.ModelTransfers
 	comm.ScalarMessages += st.Messages - st.ModelTransfers
 	return agg, comm, len(st.Excluded), nil
@@ -676,10 +670,10 @@ func shardValidator(cfg Config, pool *nn.EvalPool) consensus.Validator {
 	}
 }
 
-// disseminationCost counts the model transfers of Algorithm 5: every cluster
+// DisseminationCost counts the model transfers of Algorithm 5: every cluster
 // leader broadcasts the model to its cluster members (members-1 transfers
 // per cluster, every level).
-func disseminationCost(tree *topology.Tree) CommStats {
+func DisseminationCost(tree *topology.Tree) CommStats {
 	var comm CommStats
 	for _, level := range tree.Clusters {
 		for _, c := range level {

@@ -6,7 +6,7 @@ import (
 )
 
 // coreTracer emits causal spans for the logically-synchronous engines
-// (hfl, vanilla, gossip). These engines have no virtual clock, so spans sit
+// (hfl, vanilla). These engines have no virtual clock, so spans sit
 // on a deterministic logical clock of unit-width windows: each round r
 // occupies [base, base+3+B) where B is the tree's bottom level —
 //
@@ -82,27 +82,6 @@ func (ct *coreTracer) train(round, dev, cluster int) {
 	})
 }
 
-// trainGossip emits a gossip device's train span, feeding its own
-// neighbourhood aggregation.
-func (ct *coreTracer) trainGossip(round, dev int) {
-	if ct == nil {
-		return
-	}
-	ct.tr.Record(trace.Span{
-		ID:      trace.SpanID("train", round, dev),
-		Parent:  trace.SpanID("aggregate", round, 0, dev),
-		Name:    "train",
-		Start:   ct.base,
-		End:     ct.base + 1,
-		Round:   round,
-		Level:   0,
-		Cluster: dev,
-		Device:  dev,
-		From:    -1,
-		To:      -1,
-	})
-}
-
 // aggregate emits the partial aggregation span of cluster ci at level lvl;
 // parentCi is its parent cluster's index at lvl-1 (ignored for lvl <= 1,
 // whose consumer is the global span).
@@ -125,31 +104,6 @@ func (ct *coreTracer) aggregate(round, lvl, ci, parentCi int, rule string, kept,
 		Level:    lvl,
 		Cluster:  ci,
 		Device:   -1,
-		From:     -1,
-		To:       -1,
-		Rule:     rule,
-		Bytes:    ct.bytes,
-		Kept:     kept,
-		Filtered: filtered,
-	})
-}
-
-// gossipAggregate emits device dev's neighbourhood aggregation span (gossip
-// has no global model, so it feeds the round span directly).
-func (ct *coreTracer) gossipAggregate(round, dev int, rule string, kept, filtered int) {
-	if ct == nil {
-		return
-	}
-	ct.tr.Record(trace.Span{
-		ID:       trace.SpanID("aggregate", round, 0, dev),
-		Parent:   trace.SpanID("round", round),
-		Name:     "aggregate",
-		Start:    ct.base + 1,
-		End:      ct.base + 2,
-		Round:    round,
-		Level:    0,
-		Cluster:  dev,
-		Device:   dev,
 		From:     -1,
 		To:       -1,
 		Rule:     rule,

@@ -124,14 +124,10 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 	aggScratch := aggregate.NewScratch(workers)
 	codecScratch := codec.NewScratch()
 	ins := newInstruments(cfg.Telemetry, "vanilla", 1)
-	ins.codecInfo(cfg.Codec, len(globalParams))
-	fe := newFilterEmitter(ins, cfg.OnFilter, "vanilla")
-	fe.attach(aggScratch)
+	ins.common().CodecInfo(cfg.Codec, len(globalParams))
 	ct := newCoreTracer(cfg.Trace, 0, wireBytesOf(cfg.Codec, len(globalParams)))
-	if ct != nil && fe == nil {
-		fe = &filterEmitter{engine: "vanilla"}
-		fe.attach(aggScratch)
-	}
+	fe := newFilterEmitter(ins, cfg.OnFilter, ct != nil, "vanilla")
+	fe.Attach(aggScratch)
 	var globalBufs [2]tensor.Vector
 	for round := 0; round < cfg.Rounds; round++ {
 		roundRNG := root.Derive(fmt.Sprintf("round-%d", round))
@@ -211,9 +207,9 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 				return nil, fmt.Errorf("core: vanilla round %d: %w", round, err)
 			}
 			copy(agg, out)
-			fe.emitConsensus(0, 0, round, ids, cfg.TopCBA.Name(), st)
+			fe.EmitConsensus(0, 0, round, ids, cfg.TopCBA.Name(), st.Excluded, st.Votes)
 			if ct != nil {
-				kept, filtered := fe.verdictCounts()
+				kept, filtered := fe.VerdictCounts()
 				ct.global(round, cfg.TopCBA.Name(), kept, filtered)
 			}
 			roundComm.ModelTransfers = st.ModelTransfers + len(inputs)
@@ -224,9 +220,9 @@ func RunVanilla(cfg VanillaConfig) (*Result, error) {
 			}
 			// Without cohort sampling there is no churn in the star baseline,
 			// so update positions are client ids and ids stays nil.
-			fe.emitAudit(0, 0, round, ids)
+			fe.EmitAudit(0, 0, round, ids)
 			if ct != nil {
-				kept, filtered := fe.verdictCounts()
+				kept, filtered := fe.VerdictCounts()
 				ct.global(round, cfg.Aggregator.Name(), kept, filtered)
 			}
 			// Star topology: every participant uploads, the server broadcasts

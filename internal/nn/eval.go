@@ -85,14 +85,6 @@ func LossWorkers(m *Model, d *dataset.Dataset, workers int) float64 {
 	return total / float64(d.Len())
 }
 
-// LossWS is the allocation-free serial loss kernel.
-func LossWS(m *Model, ws *Workspace, d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	return lossRange(m, ws, d, 0, d.Len()) / float64(d.Len())
-}
-
 // Evaluate computes accuracy and mean loss together with a single forward
 // pass per sample — half the work of calling Accuracy then Loss — over a
 // bounded worker pool (workers <= 0 selects GOMAXPROCS).

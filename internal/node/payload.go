@@ -120,8 +120,12 @@ func decodeProposals(raw []byte) (member int, proposals []tensor.Vector, err err
 	member = int(binary.LittleEndian.Uint32(raw))
 	count := int(binary.LittleEndian.Uint32(raw[4:]))
 	dim := int(binary.LittleEndian.Uint32(raw[8:]))
-	if count < 0 || dim < 0 || len(raw) != 12+8*count*dim {
-		return 0, nil, fmt.Errorf("node: proposal message is %d bytes, want %d", len(raw), 12+8*count*dim)
+	// count and dim come off the wire: check the body by division, so a
+	// header whose count×dim product wraps can never pass and size the
+	// allocation below.
+	body := len(raw) - 12
+	if dim == 0 && (count > 0 || body != 0) || dim > 0 && (body%(8*dim) != 0 || body/(8*dim) != count) {
+		return 0, nil, fmt.Errorf("node: proposal message has %d body bytes for %d×%d proposals", body, count, dim)
 	}
 	proposals = make([]tensor.Vector, count)
 	off := 12

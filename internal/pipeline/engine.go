@@ -12,6 +12,7 @@ import (
 	"abdhfl/internal/nn"
 	"abdhfl/internal/rng"
 	"abdhfl/internal/simnet"
+	"abdhfl/internal/telemetry"
 	"abdhfl/internal/tensor"
 	"abdhfl/internal/topology"
 	"abdhfl/internal/trace"
@@ -77,11 +78,14 @@ type engine struct {
 	// vectors stay fresh per aggregation because message envelopes retain
 	// them.
 	aggScratch *aggregate.Scratch
-	// ins/fe are the run's telemetry handles and filter-audit emitter; both
-	// are nil (and every call a no-op) when Config.Telemetry and OnFilter are
-	// unset. The single-threaded event loop lets one emitter serve all actors.
+	// shared/ins are the run's telemetry handles (the families every engine
+	// shares, then the pipeline's own) and fe its filter-audit emitter; all
+	// are nil (and every call a no-op) when Config.Telemetry, OnFilter and
+	// Trace are unset. The single-threaded event loop lets one emitter serve
+	// all actors.
+	shared   *telemetry.Instruments
 	ins      *instruments
-	fe       *filterEmitter
+	fe       *telemetry.FilterEmitter
 	quorumOf func(size int) int
 	alpha    AlphaPolicy
 	done     bool
@@ -150,13 +154,13 @@ func (e *engine) volume(hop, dim int) int64 {
 // quorum).
 func (e *engine) subQuorum() {
 	e.result.SubQuorum++
-	e.ins.subQuorum()
+	e.shared.SubQuorum()
 }
 
 // abandoned records one collection given up with zero inputs.
 func (e *engine) abandoned() {
 	e.result.Abandoned++
-	e.ins.abandoned()
+	e.shared.Abandoned()
 }
 
 func (e *engine) nodeOfCluster(l, i int) simnet.NodeID { return e.clusterNode[l][i] }
@@ -280,7 +284,7 @@ func (d *deviceActor) finish(ctx *simnet.Context, round int, startParams tensor.
 		// Omission-Byzantine: train, receive, but silently withhold the
 		// upload. The leader's quorum/timeout machinery must absorb it.
 		e.result.Omitted++
-		e.ins.omitted()
+		e.shared.Omitted()
 	} else {
 		// Uplink codec hop: the round's start parameters are the Delta
 		// reference (the leader disseminated them, so both ends hold them).
@@ -489,8 +493,8 @@ func (a *clusterActor) aggregateRound(ctx *simnet.Context, round int) {
 			// A malformed quorum at runtime: drop the round for this cluster.
 			return
 		}
-		e.traceAggregate(a.cluster.Level, a.cluster.Index, round, len(vecs), closeAt, ctx.Now(), e.cfg.PartialBRA.Name())
-		e.fe.emitAudit(a.cluster.Level, a.cluster.Index, round, ids)
+		e.fe.EmitAudit(a.cluster.Level, a.cluster.Index, round, ids)
+		e.traceAggregate(a.cluster.Level, a.cluster.Index, round, closeAt, ctx.Now(), e.cfg.PartialBRA.Name())
 		// One codec hop per formed partial: the upward send and the flag
 		// release below ship the same encoded bytes.
 		e.transcodeHop(agg, e.lastRef)
@@ -631,21 +635,21 @@ func (t *topActor) formGlobal(ctx *simnet.Context, round int, vecs []tensor.Vect
 		if err == nil {
 			rule = proto.Name()
 			kept, filtered = len(vecs)-len(st.Excluded), len(st.Excluded)
-			e.fe.emitConsensus(0, 0, round, ids, proto.Name(), st)
+			e.fe.EmitConsensus(0, 0, round, ids, proto.Name(), st.Excluded, st.Votes)
 		}
 	} else {
 		global = tensor.NewVector(len(vecs[0]))
 		err = e.cfg.TopBRA.AggregateInto(global, e.aggScratch, vecs)
 		if err == nil {
 			rule = e.cfg.TopBRA.Name()
-			kept, filtered = e.auditCounts(len(vecs))
-			e.fe.emitAudit(0, 0, round, ids)
+			e.fe.EmitAudit(0, 0, round, ids)
+			kept, filtered = e.fe.VerdictCounts()
 		}
 	}
 	if err != nil {
 		return
 	}
-	e.ins.globalFormed()
+	e.shared.RoundFormed()
 	e.globalReady[round] = ctx.Now()
 	e.traceGlobal(round, kept, filtered, ctx.Now(), rule, len(global))
 	// Dissemination codec hop: encoded against the previous global, then the
@@ -695,7 +699,7 @@ func (e *engine) evaluate(round int, now simnet.Time, global tensor.Vector) {
 	}
 	e.evalModel.SetParams(global)
 	acc := nn.AccuracyWorkers(e.evalModel, e.cfg.TestData, e.workers)
-	e.ins.evalDone(acc)
+	e.shared.SetAccuracy(acc)
 	e.result.Curve = append(e.result.Curve, RoundAccuracy{Round: round + 1, Time: now, Accuracy: acc})
 }
 
@@ -745,15 +749,15 @@ func Run(cfg Config) (*Result, error) {
 	if e.retries == 0 {
 		e.retries = 3
 	}
-	e.ins = newInstruments(cfg.Telemetry, tree.Depth())
-	e.fe = newFilterEmitter(e.ins, cfg.OnFilter)
-	e.fe.attach(e.aggScratch)
+	e.shared = telemetry.NewInstruments(cfg.Telemetry, "pipeline", tree.Depth(), telemetry.FaultFamilies|telemetry.CodecFamily)
+	e.ins = newInstruments(cfg.Telemetry)
 	e.tr = cfg.Trace
 	e.roundStart = map[int]simnet.Time{}
-	if e.tr != nil && e.aggScratch.Audit == nil {
-		// Spans carry kept/filtered counts; audit recording observes the
-		// rules without changing what they compute.
-		e.aggScratch.Audit = new(aggregate.FilterAudit)
+	if e.shared != nil || cfg.OnFilter != nil || e.tr != nil {
+		// Spans carry kept/filtered counts from the audit too; audit
+		// recording observes the rules without changing what they compute.
+		e.fe = telemetry.NewFilterEmitter(e.shared, cfg.OnFilter, "pipeline")
+		e.fe.Attach(e.aggScratch)
 	}
 	if cfg.Flight != nil {
 		sim.Trace = cfg.Flight.Hook()
@@ -811,7 +815,7 @@ func Run(cfg Config) (*Result, error) {
 	// Everyone bootstraps from the initial model, so it is the first Delta
 	// reference; each formed global replaces it.
 	e.lastRef = init
-	e.ins.codecInfo(cfg.Codec, len(init))
+	e.shared.CodecInfo(cfg.Codec, len(init))
 	devActors := make([]*deviceActor, devices)
 	for id := 0; id < devices; id++ {
 		m := nn.NewShaped(e.sizes...)

@@ -3,9 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"abdhfl/internal/aggregate"
-	"abdhfl/internal/codec"
-	"abdhfl/internal/consensus"
 	"abdhfl/internal/simnet"
 	"abdhfl/internal/telemetry"
 )
@@ -21,71 +18,45 @@ const (
 
 var sigmaNames = [numSigmas]string{"wait", "partial", "global", "total"}
 
-// instruments bundles the pipeline run's telemetry handles, resolved once at
-// startup. Unlike the round engines, durations here are virtual milliseconds
-// (simulator time), so the histograms use a dedicated metric family instead of
-// abdhfl_phase_seconds. A nil *instruments disables every recording; all
-// methods are nil-receiver-safe.
+// instruments bundles the pipeline-only telemetry handles, resolved once at
+// startup; the families every engine shares live in the engine's
+// telemetry.Instruments. Unlike the round engines, durations here are
+// virtual milliseconds (simulator time), so the histograms use a dedicated
+// metric family instead of abdhfl_phase_seconds. A nil *instruments
+// disables every recording; all methods are nil-receiver-safe.
 type instruments struct {
-	rounds    *telemetry.Counter
 	merges    *telemetry.Counter
 	staleness *telemetry.Histogram
 	sigma     [numSigmas]*telemetry.Histogram
 	nu        *telemetry.Histogram
 	meanNu    *telemetry.Gauge
-	accuracy  *telemetry.Gauge
-	excluded  *telemetry.Counter
-	votes     *telemetry.Histogram
-	// Fault-injection and degraded-operation counters.
-	subquorum *telemetry.Counter
-	abandon   *telemetry.Counter
-	omit      *telemetry.Counter
+	// Simulated-network fault and loss counters.
 	dropped   *telemetry.Counter
 	droppedUn *telemetry.Counter
 	dup       *telemetry.Counter
-	// Codec accounting: encoded bytes shipped per hop kind, and the
-	// configured codec's compression ratio at the run's model dimension.
+	// Encoded bytes shipped per hop kind.
 	wireHops [numHops]*telemetry.Counter
-	ratio    *telemetry.Gauge
-	// kept/clipped/trimmed are indexed by tree level (0 = top).
-	kept    []*telemetry.Counter
-	clipped []*telemetry.Counter
-	trimmed []*telemetry.Counter
 }
 
-func newInstruments(reg *telemetry.Registry, levels int) *instruments {
+func newInstruments(reg *telemetry.Registry) *instruments {
 	if reg == nil {
 		return nil
 	}
 	vms := telemetry.ExpBuckets(1, 2, 16) // 1 .. 32768 virtual ms
 	ins := &instruments{
-		rounds:    reg.Counter(`abdhfl_rounds_total{engine="pipeline"}`),
 		merges:    reg.Counter("abdhfl_pipeline_merged_globals_total"),
 		staleness: reg.Histogram("abdhfl_pipeline_staleness_vms", vms),
 		nu:        reg.Histogram("abdhfl_pipeline_nu", telemetry.LinearBuckets(0, 0.05, 21)),
 		meanNu:    reg.Gauge("abdhfl_pipeline_mean_nu"),
-		accuracy:  reg.Gauge(`abdhfl_accuracy{engine="pipeline"}`),
-		excluded:  reg.Counter(`abdhfl_consensus_excluded_total{engine="pipeline"}`),
-		votes:     reg.Histogram(`abdhfl_consensus_votes{engine="pipeline"}`, telemetry.LinearBuckets(0, 1, 17)),
-		subquorum: reg.Counter(`abdhfl_subquorum_aggregations_total{engine="pipeline"}`),
-		abandon:   reg.Counter(`abdhfl_abandoned_collections_total{engine="pipeline"}`),
-		omit:      reg.Counter(`abdhfl_omitted_uploads_total{engine="pipeline"}`),
 		dropped:   reg.Counter(`abdhfl_simnet_dropped_total{reason="fault"}`),
 		droppedUn: reg.Counter(`abdhfl_simnet_dropped_total{reason="unregistered"}`),
 		dup:       reg.Counter("abdhfl_simnet_duplicated_total"),
 	}
-	ins.ratio = reg.Gauge(`abdhfl_codec_compression_ratio{engine="pipeline"}`)
 	for h := 0; h < numHops; h++ {
 		ins.wireHops[h] = reg.Counter(fmt.Sprintf(`abdhfl_codec_wire_bytes_total{engine="pipeline",hop=%q}`, hopNames[h]))
 	}
 	for p := 0; p < numSigmas; p++ {
 		ins.sigma[p] = reg.Histogram(fmt.Sprintf(`abdhfl_pipeline_sigma_vms{phase=%q}`, sigmaNames[p]), vms)
-	}
-	for lvl := 0; lvl < levels; lvl++ {
-		suffix := fmt.Sprintf(`{engine="pipeline",level="%d"}`, lvl)
-		ins.kept = append(ins.kept, reg.Counter("abdhfl_filter_kept_total"+suffix))
-		ins.clipped = append(ins.clipped, reg.Counter("abdhfl_filter_clipped_total"+suffix))
-		ins.trimmed = append(ins.trimmed, reg.Counter("abdhfl_filter_discarded_total"+suffix))
 	}
 	return ins
 }
@@ -96,19 +67,6 @@ func (ins *instruments) mergedGlobal(staleness float64) {
 	if ins != nil {
 		ins.merges.Inc()
 		ins.staleness.Observe(staleness)
-	}
-}
-
-// globalFormed records one completed global round.
-func (ins *instruments) globalFormed() {
-	if ins != nil {
-		ins.rounds.Inc()
-	}
-}
-
-func (ins *instruments) evalDone(acc float64) {
-	if ins != nil {
-		ins.accuracy.Set(acc)
 	}
 }
 
@@ -124,43 +82,11 @@ func (ins *instruments) roundTiming(t RoundTiming) {
 	ins.nu.Observe(t.Nu)
 }
 
-// subQuorum records one aggregation closed below quorum by a timeout.
-func (ins *instruments) subQuorum() {
-	if ins != nil {
-		ins.subquorum.Inc()
-	}
-}
-
-// abandoned records one collection given up with zero inputs after the
-// timeout-with-backoff retries expired.
-func (ins *instruments) abandoned() {
-	if ins != nil {
-		ins.abandon.Inc()
-	}
-}
-
-// omitted records one withheld upload from an omission-Byzantine device.
-func (ins *instruments) omitted() {
-	if ins != nil {
-		ins.omit.Inc()
-	}
-}
-
 // wireHop records one model transfer's encoded bytes on the given hop kind.
 func (ins *instruments) wireHop(hop int, n int64) {
 	if ins != nil {
 		ins.wireHops[hop].Add(n)
 	}
-}
-
-// codecInfo publishes the configured codec's compression ratio (raw float64
-// bytes over wire bytes at the run's model dimension); a nil codec leaves
-// the gauge at zero.
-func (ins *instruments) codecInfo(c codec.Codec, dim int) {
-	if ins == nil || c == nil || dim == 0 {
-		return
-	}
-	ins.ratio.Set(float64(8*dim) / float64(c.WireBytes(dim)))
 }
 
 // network publishes the simulator's end-of-run fault and loss counters.
@@ -177,112 +103,4 @@ func (ins *instruments) setMeanNu(nu float64) {
 	if ins != nil {
 		ins.meanNu.Set(nu)
 	}
-}
-
-func (ins *instruments) filterCounts(level, kept, clipped, trimmed int) {
-	if ins == nil || level >= len(ins.kept) {
-		return
-	}
-	ins.kept[level].Add(int64(kept))
-	ins.clipped[level].Add(int64(clipped))
-	ins.trimmed[level].Add(int64(trimmed))
-}
-
-func (ins *instruments) consensusStats(st consensus.Stats) {
-	if ins == nil {
-		return
-	}
-	ins.excluded.Add(int64(len(st.Excluded)))
-	for _, v := range st.Votes {
-		ins.votes.Observe(float64(v))
-	}
-}
-
-// filterEmitter mirrors the round engines' emitter: it owns the FilterAudit
-// attached to the engine's shared Scratch (the event loop is single-threaded,
-// so one audit serves every actor) plus the reused id slices handed to the
-// OnFilter callback. A nil *filterEmitter (telemetry and OnFilter both unset)
-// keeps the Scratch's Audit nil so the rules skip recording entirely.
-type filterEmitter struct {
-	ins      *instruments
-	onFilter func(telemetry.FilterDecision)
-	audit    aggregate.FilterAudit
-	kept     []int
-	clipped  []int
-	disc     []int
-}
-
-func newFilterEmitter(ins *instruments, onFilter func(telemetry.FilterDecision)) *filterEmitter {
-	if ins == nil && onFilter == nil {
-		return nil
-	}
-	return &filterEmitter{ins: ins, onFilter: onFilter}
-}
-
-func (f *filterEmitter) attach(s *aggregate.Scratch) {
-	if f != nil {
-		s.Audit = &f.audit
-	}
-}
-
-func (f *filterEmitter) publish(level, cluster, round int, rule string) {
-	f.ins.filterCounts(level, len(f.kept), len(f.clipped), len(f.disc))
-	if f.onFilter != nil {
-		f.onFilter(telemetry.FilterDecision{
-			Engine:    "pipeline",
-			Level:     level,
-			Cluster:   cluster,
-			Round:     round,
-			Rule:      rule,
-			Kept:      f.kept,
-			Clipped:   f.clipped,
-			Discarded: f.disc,
-		})
-	}
-}
-
-// emitAudit publishes the attached audit's verdict for the aggregation that
-// just ran. ids[i] is update i's contributor id (device id at the bottom
-// level, child-cluster leader id above); nil ids means positions are ids.
-func (f *filterEmitter) emitAudit(level, cluster, round int, ids []int) {
-	if f == nil {
-		return
-	}
-	f.kept, f.clipped, f.disc = f.kept[:0], f.clipped[:0], f.disc[:0]
-	for i, d := range f.audit.Decisions {
-		id := i
-		if ids != nil {
-			id = ids[i]
-		}
-		switch d {
-		case aggregate.DecisionKept:
-			f.kept = append(f.kept, id)
-		case aggregate.DecisionClipped:
-			f.clipped = append(f.clipped, id)
-		default:
-			f.disc = append(f.disc, id)
-		}
-	}
-	f.publish(level, cluster, round, f.audit.Rule)
-}
-
-// emitConsensus publishes the top-level voting verdict: excluded proposals
-// are discarded contributors, the rest kept. st.Excluded is sorted by the
-// protocol, so a two-pointer sweep splits the membership.
-func (f *filterEmitter) emitConsensus(level, cluster, round int, ids []int, rule string, st consensus.Stats) {
-	if f == nil {
-		return
-	}
-	f.kept, f.clipped, f.disc = f.kept[:0], f.clipped[:0], f.disc[:0]
-	ei := 0
-	for i, id := range ids {
-		if ei < len(st.Excluded) && st.Excluded[ei] == i {
-			f.disc = append(f.disc, id)
-			ei++
-		} else {
-			f.kept = append(f.kept, id)
-		}
-	}
-	f.ins.consensusStats(st)
-	f.publish(level, cluster, round, rule)
 }

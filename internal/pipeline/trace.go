@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/simnet"
 	"abdhfl/internal/trace"
 )
@@ -28,22 +27,6 @@ func (e *engine) wireOf(dim int) int64 {
 		return int64(dim)
 	}
 	return int64(e.cfg.Codec.WireBytes(dim))
-}
-
-// auditCounts reads the scratch audit's verdict for the aggregation that
-// just ran: kept counts contributions that made it into the result
-// (clipped ones still contribute), filtered counts discarded ones.
-func (e *engine) auditCounts(n int) (kept, filtered int) {
-	a := e.aggScratch.Audit
-	if a == nil || len(a.Decisions) != n {
-		return n, 0
-	}
-	for _, d := range a.Decisions {
-		if d != aggregate.DecisionKept && d != aggregate.DecisionClipped {
-			filtered++
-		}
-	}
-	return n - filtered, filtered
 }
 
 // traceTrain emits a device's train span for the round it just finished.
@@ -120,12 +103,13 @@ func (e *engine) tracePartial(childLevel, child, round, level, cluster int, sent
 }
 
 // traceAggregate emits a cluster aggregation span: collection closed at
-// closeAt, the aggregate formed (after τ') at end.
-func (e *engine) traceAggregate(level, cluster, round, inputs int, closeAt, end simnet.Time, rule string) {
+// closeAt, the aggregate formed (after τ') at end. The kept/filtered counts
+// are the verdict the filter emitter just published.
+func (e *engine) traceAggregate(level, cluster, round int, closeAt, end simnet.Time, rule string) {
 	if e.tr == nil {
 		return
 	}
-	kept, filtered := e.auditCounts(inputs)
+	kept, filtered := e.fe.VerdictCounts()
 	e.tr.Record(trace.Span{
 		ID:       trace.SpanID("aggregate", round, level, cluster),
 		Parent:   trace.SpanID("pmsg", round, level, cluster),

@@ -213,112 +213,18 @@ type envelope struct {
 	params tensor.Vector
 }
 
-// rtInstruments holds the run's telemetry handles. Every handle is backed by
-// atomics, so the concurrent device and leader goroutines record through one
-// shared instance; a nil *rtInstruments makes every method a no-op.
-type rtInstruments struct {
-	rounds    *telemetry.Counter
-	merges    *telemetry.Counter
-	accuracy  *telemetry.Gauge
-	excluded  *telemetry.Counter
-	votes     *telemetry.Histogram
-	subquorum *telemetry.Counter
-	abandon   *telemetry.Counter
-	omit      *telemetry.Counter
-	kept      []*telemetry.Counter
-	clipped   []*telemetry.Counter
-	trimmed   []*telemetry.Counter
-}
-
-func newRTInstruments(reg *telemetry.Registry, levels int) *rtInstruments {
-	if reg == nil {
+// newFilterEmitter gives one aggregating goroutine its own filter emitter
+// over the run's shared instruments, attached to that goroutine's scratch
+// (leaders run concurrently, so audits are never shared). Spans carry the
+// emitted kept/filtered counts, so tracing alone also runs one; it returns
+// nil when neither telemetry nor tracing is on.
+func newFilterEmitter(ins *telemetry.Instruments, tracing bool, s *aggregate.Scratch) *telemetry.FilterEmitter {
+	if ins == nil && !tracing {
 		return nil
 	}
-	ins := &rtInstruments{
-		rounds:    reg.Counter(`abdhfl_rounds_total{engine="realtime"}`),
-		merges:    reg.Counter("abdhfl_realtime_merged_globals_total"),
-		accuracy:  reg.Gauge(`abdhfl_accuracy{engine="realtime"}`),
-		excluded:  reg.Counter(`abdhfl_consensus_excluded_total{engine="realtime"}`),
-		votes:     reg.Histogram(`abdhfl_consensus_votes{engine="realtime"}`, telemetry.LinearBuckets(0, 1, 17)),
-		subquorum: reg.Counter(`abdhfl_subquorum_aggregations_total{engine="realtime"}`),
-		abandon:   reg.Counter(`abdhfl_abandoned_collections_total{engine="realtime"}`),
-		omit:      reg.Counter(`abdhfl_omitted_uploads_total{engine="realtime"}`),
-	}
-	for lvl := 0; lvl < levels; lvl++ {
-		suffix := fmt.Sprintf(`{engine="realtime",level="%d"}`, lvl)
-		ins.kept = append(ins.kept, reg.Counter("abdhfl_filter_kept_total"+suffix))
-		ins.clipped = append(ins.clipped, reg.Counter("abdhfl_filter_clipped_total"+suffix))
-		ins.trimmed = append(ins.trimmed, reg.Counter("abdhfl_filter_discarded_total"+suffix))
-	}
-	return ins
-}
-
-func (ins *rtInstruments) merged() {
-	if ins != nil {
-		ins.merges.Inc()
-	}
-}
-
-func (ins *rtInstruments) subQuorum() {
-	if ins != nil {
-		ins.subquorum.Inc()
-	}
-}
-
-func (ins *rtInstruments) abandoned() {
-	if ins != nil {
-		ins.abandon.Inc()
-	}
-}
-
-func (ins *rtInstruments) omitted() {
-	if ins != nil {
-		ins.omit.Inc()
-	}
-}
-
-// attachAudit gives a leader-owned scratch its own FilterAudit (leaders run
-// concurrently, so audits are never shared) and reports whether auditing is on.
-func (ins *rtInstruments) attachAudit(s *aggregate.Scratch) bool {
-	if ins == nil {
-		return false
-	}
-	s.Audit = &aggregate.FilterAudit{}
-	return true
-}
-
-// recordAudit adds the scratch's last verdict tallies to the level's counters.
-func (ins *rtInstruments) recordAudit(level int, s *aggregate.Scratch) {
-	if ins == nil || s.Audit == nil || level >= len(ins.kept) {
-		return
-	}
-	k, c, t := s.Audit.Counts()
-	ins.kept[level].Add(int64(k))
-	ins.clipped[level].Add(int64(c))
-	ins.trimmed[level].Add(int64(t))
-}
-
-func (ins *rtInstruments) globalFormed(acc float64) {
-	if ins != nil {
-		ins.rounds.Inc()
-		ins.accuracy.Set(acc)
-	}
-}
-
-func (ins *rtInstruments) consensusStats(members int, st consensus.Stats) {
-	if ins == nil {
-		return
-	}
-	ins.excluded.Add(int64(len(st.Excluded)))
-	for _, v := range st.Votes {
-		ins.votes.Observe(float64(v))
-	}
-	// The voting verdict doubles as the top-level filter report: excluded
-	// proposals were discarded, the rest kept.
-	if len(ins.kept) > 0 {
-		ins.kept[0].Add(int64(members - len(st.Excluded)))
-		ins.trimmed[0].Add(int64(len(st.Excluded)))
-	}
+	fe := telemetry.NewFilterEmitter(ins, nil, "realtime")
+	fe.Attach(s)
+	return fe
 }
 
 // Run executes the protocol with real goroutines and blocks until the last
@@ -358,7 +264,8 @@ func Run(cfg Config) (*Result, error) {
 	done := make(chan struct{})
 	var merges sync.Mutex
 	mergeCount := 0
-	ins := newRTInstruments(cfg.Telemetry, tree.Depth())
+	ins := telemetry.NewInstruments(cfg.Telemetry, "realtime", tree.Depth(), telemetry.FaultFamilies)
+	mergeCounter := cfg.Telemetry.Counter("abdhfl_realtime_merged_globals_total")
 	rt := newRTTracer(cfg.Trace, tree, cfg.Codec, len(initParams))
 
 	// Fault machinery: the plan's queries are all nil-safe, so actors consult
@@ -385,19 +292,19 @@ func Run(cfg Config) (*Result, error) {
 		fstats.Lock()
 		fstats.subQuorum++
 		fstats.Unlock()
-		ins.subQuorum()
+		ins.SubQuorum()
 	}
 	countAbandoned := func() {
 		fstats.Lock()
 		fstats.abandoned++
 		fstats.Unlock()
-		ins.abandoned()
+		ins.Abandoned()
 	}
 	countOmitted := func() {
 		fstats.Lock()
 		fstats.omitted++
 		fstats.Unlock()
-		ins.omitted()
+		ins.Omitted()
 	}
 	countDropped := func() {
 		fstats.Lock()
@@ -468,7 +375,7 @@ func Run(cfg Config) (*Result, error) {
 				merges.Lock()
 				mergeCount++
 				merges.Unlock()
-				ins.merged()
+				mergeCounter.Inc()
 			}
 			for round < cfg.Rounds {
 				if plan.DeviceCrashed(id, round) {
@@ -596,8 +503,7 @@ func Run(cfg Config) (*Result, error) {
 				// Leader-owned aggregation scratch: leaders run concurrently,
 				// so the warm buffers must not be shared between goroutines.
 				aggScratch := aggregate.NewScratch(cfg.Workers)
-				ins.attachAudit(aggScratch)
-				rt.attachAudit(aggScratch)
+				fe := newFilterEmitter(ins, rt != nil, aggScratch)
 				cs := codec.NewScratch()
 				// firstArrival is when each open round's first input landed —
 				// the start of its aggregate span.
@@ -632,9 +538,9 @@ func Run(cfg Config) (*Result, error) {
 					if err := cfg.PartialBRA.AggregateInto(agg, aggScratch, vecs); err != nil {
 						return true
 					}
-					ins.recordAudit(l, aggScratch)
+					fe.EmitAudit(l, ci, r, nil)
 					if rt != nil {
-						kept, filtered := auditVerdict(aggScratch, len(vecs))
+						kept, filtered := fe.VerdictCounts()
 						rt.aggregate(l, ci, r, parentLevel, parentCi, kept, filtered, firstArrival[r], cfg.PartialBRA.Name())
 						delete(firstArrival, r)
 					}
@@ -777,8 +683,14 @@ func Run(cfg Config) (*Result, error) {
 		closedRounds := map[int]bool{}
 		need := quorumOf(tree.Top().Size())
 		aggScratch := aggregate.NewScratch(cfg.Workers)
-		ins.attachAudit(aggScratch)
-		rt.attachAudit(aggScratch)
+		fe := newFilterEmitter(ins, rt != nil, aggScratch)
+		// Partials are collected by arrival, not by sender, so the top
+		// verdict's contributor ids are positions; formGlobal never sees
+		// more than need of them.
+		positions := make([]int, need)
+		for i := range positions {
+			positions[i] = i
+		}
 		cs := codec.NewScratch()
 		firstArrival := map[int]float64{}
 		var lastGlobal tensor.Vector
@@ -830,7 +742,7 @@ func Run(cfg Config) (*Result, error) {
 				var st consensus.Stats
 				global, st, err = proto.Agree(cctx, vecs)
 				if err == nil {
-					ins.consensusStats(len(vecs), st)
+					fe.EmitConsensus(0, 0, r, positions[:len(vecs)], proto.Name(), st.Excluded, st.Votes)
 					rule = proto.Name()
 					kept, filtered = len(vecs)-len(st.Excluded), len(st.Excluded)
 				}
@@ -838,9 +750,9 @@ func Run(cfg Config) (*Result, error) {
 				global = tensor.NewVector(len(vecs[0]))
 				err = cfg.TopBRA.AggregateInto(global, aggScratch, vecs)
 				if err == nil {
-					ins.recordAudit(0, aggScratch)
+					fe.EmitAudit(0, 0, r, nil)
 					rule = cfg.TopBRA.Name()
-					kept, filtered = auditVerdict(aggScratch, len(vecs))
+					kept, filtered = fe.VerdictCounts()
 				}
 			}
 			if err != nil {
@@ -856,7 +768,8 @@ func Run(cfg Config) (*Result, error) {
 			lastGlobal = global
 			evalModel.SetParams(global)
 			result.RoundAccuracy[r] = nn.AccuracyWS(evalModel, evalWS, cfg.TestData)
-			ins.globalFormed(result.RoundAccuracy[r])
+			ins.RoundFormed()
+			ins.SetAccuracy(result.RoundAccuracy[r])
 			topCompleted++
 			gm := envelope{kind: kGlobal, round: r, params: global}
 			for _, ch := range topChildren {

@@ -3,7 +3,6 @@ package realtime
 import (
 	"time"
 
-	"abdhfl/internal/aggregate"
 	"abdhfl/internal/codec"
 	"abdhfl/internal/topology"
 	"abdhfl/internal/trace"
@@ -55,25 +54,6 @@ func newRTTracer(tr *trace.Tracer, tree *topology.Tree, c codec.Codec, dim int) 
 		}
 	}
 	return rt
-}
-
-// attachAudit gives a leader-owned scratch a FilterAudit when tracing wants
-// kept/filtered counts and telemetry hasn't already attached one.
-func (rt *rtTracer) attachAudit(s *aggregate.Scratch) {
-	if rt != nil && s.Audit == nil {
-		s.Audit = &aggregate.FilterAudit{}
-	}
-}
-
-// auditVerdict reads the scratch audit's verdict for the aggregation that
-// just ran over n inputs: kept counts contributions in the result (clipped
-// ones still contribute), filtered counts discarded ones.
-func auditVerdict(s *aggregate.Scratch, n int) (kept, filtered int) {
-	if s.Audit == nil || len(s.Audit.Decisions) != n {
-		return n, 0
-	}
-	k, c, t := s.Audit.Counts()
-	return k + c, t
 }
 
 // now is the engine clock: wall milliseconds since the run began.

@@ -10,7 +10,7 @@ package telemetry
 // The id slices are owned by the emitting engine and reused across calls —
 // consumers must copy (or fully reduce) them before returning.
 type FilterDecision struct {
-	// Engine names the emitting engine ("hfl", "vanilla", "gossip",
+	// Engine names the emitting engine ("hfl", "vanilla", "node",
 	// "pipeline", "realtime").
 	Engine string
 	// Level is the tree level of the aggregating node (0 = top). The flat
